@@ -20,8 +20,9 @@ trait Matcher {
   * All deep baselines (DeepMatcherLite, EntityMatcherLite, DittoLite,
   * CorDelLite) specialize this with their own featurization — the part the
   * respective papers differ in — while sharing the classifier and training
-  * loop (full-batch Adam + BCE, matching the AdaMEL trainer for a fair
-  * comparison). `hidden = 0` degrades to logistic regression (TLER).
+  * loop (class-stratified mini-batch Adam + BCE, matching the AdaMEL trainer
+  * for a fair comparison). `hidden = 0` degrades to logistic regression
+  * (TLER).
   */
 abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double, seed: Long,
                           weightDecay: Double = 1e-2, batchSize: Int = 16)
@@ -40,7 +41,7 @@ abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double
     Mat.fromRows(batch.pairs.toIndexedSeq.map(p => featurize(p, batch.attrs)))
 
   private def forward(x: Mat): AD.V = {
-    val in = AD.leaf(x)
+    val in = AD.const(x)
     if (hidden == 0) AD.addRowVec(AD.matmul(in, w2), b2)
     else {
       val h = AD.relu(AD.addRowVec(AD.matmul(in, w1), b1))

@@ -56,11 +56,11 @@ final case class AdaMELConfig(
   *   s   = MLP([Z_1 .. Z_F])              // N x 1   logits; ŷ = sigmoid(s)
   * }}}
   *
-  * Training is full-batch Adam (the datasets at our scale fit in one batch;
-  * the paper's batch-16 SGD is an efficiency choice, not a modeling one —
-  * noted in EXPERIMENTS.md). The target-domain average attention (Eq. 10)
-  * and the support-set weights (Eq. 12) are recomputed each epoch from the
-  * current parameters, exactly as Algorithms 1-3 do per epoch.
+  * Training is mini-batch Adam over class-stratified source batches of
+  * `batchSize` pairs (paper §5.1: batch 16), plus one support step per
+  * epoch for Few/Hyb. The target-domain average attention (Eq. 10) and the
+  * support-set weights (Eq. 12) are recomputed each epoch from the current
+  * parameters, exactly as Algorithms 1-3 do per epoch.
   */
 final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vector[String]) {
   import config._
@@ -87,10 +87,11 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
 
   private def selFeats(batch: PairBatch): Array[Mat] = fIdx.map(batch.feats)
 
-  /** Differentiable forward pass: (attention G, logits s). */
+  /** Differentiable forward pass: (attention G, logits s). The input
+    * matrices enter as constants, so backward never forms their gradient. */
   private def forward(feats: Array[Mat]): (AD.V, AD.V) = {
     val xs = Array.tabulate(numFeatures) { j =>
-      AD.relu(AD.addRowVec(AD.matmul(AD.leaf(feats(j)), vs(j)), bs(j)))
+      AD.relu(AD.addRowVec(AD.matmul(AD.const(feats(j)), vs(j)), bs(j)))
     }
     val es = xs.map(x => AD.matmul(AD.tanh(AD.matmul(x, w)), a))
     val g = AD.softmaxRows(AD.hcat(es.toIndexedSeq))

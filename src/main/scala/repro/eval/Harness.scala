@@ -69,7 +69,14 @@ object MethodRunner {
 }
 
 /** Repeats a method over seeds and reports the metric mean/std — the
-  * paper's "3 runs, mean ± std" protocol (§5.1). */
+  * paper's "3 runs, mean ± std" protocol (§5.1).
+  *
+  * The (method, seed) runs of one call are independent (each builds its own
+  * model from its own seed and only reads `data`), so they run concurrently
+  * on min(#seeds, available processors) threads. The calling thread is one
+  * of them: a one-seed call runs inline on the caller. Results come back in
+  * seed order and are the same as a serial run's.
+  */
 object Harness {
   final case class Result(method: String, runs: Seq[Double]) {
     def mean: Double = Metrics.meanStd(runs)._1
@@ -78,21 +85,45 @@ object Harness {
   }
 
   def evalPRAUC(data: MELData, makeRunner: Long => MethodRunner,
-                seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
-    val runs = seeds.map { s =>
-      val r = makeRunner(s)
-      Metrics.prauc(r.run(data), data.test.labels)
-    }
-    Result(makeRunner(seeds.head).name, runs)
-  }
+                seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result =
+    eval(data, makeRunner, seeds, Metrics.prauc)
 
   def evalF1(data: MELData, makeRunner: Long => MethodRunner,
-             seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
-    val runs = seeds.map { s =>
-      val r = makeRunner(s)
-      Metrics.bestF1(r.run(data), data.test.labels)
+             seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result =
+    eval(data, makeRunner, seeds, Metrics.bestF1)
+
+  private def eval(data: MELData, makeRunner: Long => MethodRunner, seeds: Seq[Long],
+                   metric: (Array[Double], Array[Double]) => Double): Result = {
+    val runners = seeds.map(makeRunner).toIndexedSeq
+    val runs = inParallel(runners.size)(i => metric(runners(i).run(data), data.test.labels))
+    Result(runners.head.name, runs)
+  }
+
+  /** `f(0) .. f(n - 1)` on min(n, available processors) threads, the caller
+    * included, each taking the next unclaimed index. Returns when every
+    * thread has finished. If any `f(i)` throws, no new index is claimed and
+    * the exception of the lowest failing index is rethrown as is. */
+  private def inParallel(n: Int)(f: Int => Double): Seq[Double] = {
+    val out = new Array[Double](n)
+    val failures = new java.util.concurrent.ConcurrentSkipListMap[Int, Throwable]()
+    val next = new java.util.concurrent.atomic.AtomicInteger(0)
+    val work: Runnable = () => {
+      var i = next.getAndIncrement()
+      while (i < n && failures.isEmpty) {
+        try out(i) = f(i) catch { case t: Throwable => failures.put(i, t) }
+        i = next.getAndIncrement()
+      }
     }
-    Result(makeRunner(seeds.head).name, runs)
+    val helpers = Seq.tabulate(math.min(n, Runtime.getRuntime.availableProcessors) - 1) { k =>
+      val t = new Thread(work, s"harness-run-$k")
+      t.setDaemon(true)
+      t.start()
+      t
+    }
+    work.run()
+    helpers.foreach(_.join())
+    if (!failures.isEmpty) throw failures.firstEntry.getValue
+    out.toSeq
   }
 
   /** Wall-clock of a single fit+score run, in seconds (Fig. 9 table). */

@@ -38,6 +38,10 @@ object Metrics {
       else if (pred) fp += 1
       else if (labels(i) == 1.0) fn += 1
     }
+    prf(tp, fp, fn)
+  }
+
+  private def prf(tp: Int, fp: Int, fn: Int): (Double, Double, Double) = {
     val p = if (tp + fp == 0) 0.0 else tp.toDouble / (tp + fp)
     val r = if (tp + fn == 0) 0.0 else tp.toDouble / (tp + fn)
     val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
@@ -47,11 +51,31 @@ object Metrics {
   /** Max F1 over all score thresholds — the usual EM-paper protocol
     * (threshold tuned on a validation split drawn from the same
     * distribution; at our scale we report the attainable optimum, applied
-    * identically to every method). */
+    * identically to every method).
+    *
+    * One sweep down the sorted scores: each group of tied scores is one
+    * threshold `t`, and the pairs with score >= t are exactly those swept so
+    * far, so tp/fp/fn are running counts. Same counts and formula as
+    * [[precisionRecallF1]] at every distinct threshold, in O(n log n).
+    */
   def bestF1(scores: Array[Double], labels: Array[Double]): Double = {
-    val thresholds = scores.distinct.sorted
-    if (thresholds.isEmpty) return 0.0
-    thresholds.foldLeft(0.0)((best, t) => math.max(best, precisionRecallF1(scores, labels, t)._3))
+    require(scores.length == labels.length, "bestF1 length mismatch")
+    val nPos = labels.count(_ == 1.0)
+    // NaN scores pass no threshold, so they are only ever false negatives.
+    val order = scores.indices.filterNot(i => scores(i).isNaN)
+      .sortBy(scores(_))(Ordering.Double.TotalOrdering).reverse
+    var best = 0.0
+    var tp = 0
+    var k = 0
+    while (k < order.length) {
+      val t = scores(order(k))
+      while (k < order.length && scores(order(k)) == t) {
+        if (labels(order(k)) == 1.0) tp += 1
+        k += 1
+      }
+      best = math.max(best, prf(tp, k - tp, nPos - tp)._3)
+    }
+    best
   }
 
   def meanStd(xs: Seq[Double]): (Double, Double) = {

@@ -7,72 +7,84 @@ import scala.collection.mutable.ArrayBuffer
   * Micrograd-style tape: every op returns a [[AD.V]] node holding its value,
   * its parents and a closure that scatters the node's cotangent into the
   * parents' gradient buffers. Call [[AD.backward]] on a scalar (1x1) node to
-  * populate `grad` on every upstream node.
+  * populate `grad` on every upstream node that requires a gradient.
   *
   * The op set is exactly what the AdaMEL losses and the baseline MLPs need;
   * each op's gradient is finite-difference-checked in `ADSpec`.
   */
 object AD {
 
-  final class V(val v: Mat, val parents: Seq[V], val bw: V => Unit) {
-    var grad: Mat = Mat.zeros(v.rows, v.cols)
+  /** A tape node. `requiresGrad` holds for [[leaf]] nodes and for every node
+    * computed from one; [[backward]] visits only those, and allocates a
+    * node's `grad` buffer when it reaches the node. A [[const]] node, and a
+    * node computed only from constants, never gets a buffer: its `grad`
+    * stays null, so a forward-only pass allocates no gradients at all.
+    */
+  final class V(val v: Mat, val parents: Seq[V], val bw: V => Unit, val requiresGrad: Boolean) {
+    /** d(root)/d(this) once [[backward]] has reached this node, else null. */
+    var grad: Mat = _
     def scalar: Double = { require(v.rows == 1 && v.cols == 1, "not a scalar node"); v.data(0) }
   }
 
-  /** Leaf node (parameter or input). Gradients accumulate here. */
-  def leaf(m: Mat): V = new V(m, Nil, _ => ())
+  /** Trainable leaf (a parameter). Gradients accumulate here. */
+  def leaf(m: Mat): V = new V(m, Nil, _ => (), requiresGrad = true)
 
-  /** Constant: a leaf whose gradient is computed but unused by the optimizer. */
-  def const(m: Mat): V = leaf(m)
+  /** Constant leaf (an input matrix): no gradient is computed for it. */
+  def const(m: Mat): V = new V(m, Nil, _ => (), requiresGrad = false)
 
-  def matmul(a: V, b: V): V = new V(a.v %*% b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad %*% b.v.t)
-    b.grad.addInPlace(a.v.t %*% out.grad)
-  })
+  private def node(value: Mat, parents: V*)(bw: V => Unit): V =
+    new V(value, parents, bw, parents.exists(_.requiresGrad))
 
-  def add(a: V, b: V): V = new V(a.v + b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad); b.grad.addInPlace(out.grad)
-  })
+  /** Adds `g` into `p.grad`; `g` is only computed when `p` takes a gradient. */
+  private def acc(p: V, g: => Mat): Unit = if (p.requiresGrad) p.grad.addInPlace(g)
 
-  def sub(a: V, b: V): V = new V(a.v - b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad); b.grad.addInPlace(out.grad * -1.0)
-  })
+  def matmul(a: V, b: V): V = node(a.v %*% b.v, a, b) { out =>
+    acc(a, out.grad.timesT(b.v))
+    acc(b, a.v.tTimes(out.grad))
+  }
 
-  def mul(a: V, b: V): V = new V(a.v * b.v, Seq(a, b), { out =>
-    a.grad.addInPlace(out.grad * b.v); b.grad.addInPlace(out.grad * a.v)
-  })
+  def add(a: V, b: V): V = node(a.v + b.v, a, b) { out =>
+    acc(a, out.grad); acc(b, out.grad)
+  }
 
-  def scale(a: V, k: Double): V = new V(a.v * k, Seq(a), out => a.grad.addInPlace(out.grad * k))
+  def sub(a: V, b: V): V = node(a.v - b.v, a, b) { out =>
+    acc(a, out.grad); acc(b, out.grad * -1.0)
+  }
+
+  def mul(a: V, b: V): V = node(a.v * b.v, a, b) { out =>
+    acc(a, out.grad * b.v); acc(b, out.grad * a.v)
+  }
+
+  def scale(a: V, k: Double): V = node(a.v * k, a)(out => acc(a, out.grad * k))
 
   /** Broadcast-add a 1 x C bias row to every row of a. */
-  def addRowVec(a: V, bias: V): V = new V(a.v.addRowVec(bias.v), Seq(a, bias), { out =>
-    a.grad.addInPlace(out.grad)
-    bias.grad.addInPlace(out.grad.colSum)
-  })
+  def addRowVec(a: V, bias: V): V = node(a.v.addRowVec(bias.v), a, bias) { out =>
+    acc(a, out.grad)
+    acc(bias, out.grad.colSum)
+  }
 
   /** Broadcast-multiply every row of a (N x C) by column vector c (N x 1). */
-  def mulColVec(a: V, c: V): V = new V(a.v.mulColVec(c.v), Seq(a, c), { out =>
-    a.grad.addInPlace(out.grad.mulColVec(c.v))
-    c.grad.addInPlace((out.grad * a.v).rowSum)
-  })
+  def mulColVec(a: V, c: V): V = node(a.v.mulColVec(c.v), a, c) { out =>
+    acc(a, out.grad.mulColVec(c.v))
+    acc(c, (out.grad * a.v).rowSum)
+  }
 
-  def relu(a: V): V = new V(a.v.map(x => if (x > 0) x else 0.0), Seq(a), { out =>
-    a.grad.addInPlace(out.grad.zip(a.v)((g, x) => if (x > 0) g else 0.0))
-  })
+  def relu(a: V): V = node(a.v.map(x => if (x > 0) x else 0.0), a) { out =>
+    acc(a, out.grad.zip(a.v)((g, x) => if (x > 0) g else 0.0))
+  }
 
   def tanh(a: V): V = {
     val y = a.v.map(math.tanh)
-    new V(y, Seq(a), out => a.grad.addInPlace(out.grad.zip(y)((g, t) => g * (1.0 - t * t))))
+    node(y, a)(out => acc(a, out.grad.zip(y)((g, t) => g * (1.0 - t * t))))
   }
 
   def sigmoid(a: V): V = {
     val y = a.v.map(x => 1.0 / (1.0 + math.exp(-x)))
-    new V(y, Seq(a), out => a.grad.addInPlace(out.grad.zip(y)((g, s) => g * s * (1.0 - s))))
+    node(y, a)(out => acc(a, out.grad.zip(y)((g, s) => g * s * (1.0 - s))))
   }
 
   def log(a: V, eps: Double = 1e-12): V =
-    new V(a.v.map(x => math.log(x + eps)), Seq(a),
-      out => a.grad.addInPlace(out.grad.zip(a.v)((g, x) => g / (x + eps))))
+    node(a.v.map(x => math.log(x + eps)), a)(out => acc(a, out.grad.zip(a.v)((g, x) => g / (x + eps))))
 
   /** Row-wise softmax of an N x F matrix. */
   def softmaxRows(a: V): V = {
@@ -89,7 +101,7 @@ object AD {
       while (c < a.v.cols) { y(r, c) /= s; c += 1 }
       r += 1
     }
-    new V(y, Seq(a), { out =>
+    node(y, a) { out =>
       // dE = (dG - rowSum(dG * G)) * G
       val dotted = (out.grad * y).rowSum // N x 1
       val g = Mat.zeros(y.rows, y.cols)
@@ -99,13 +111,13 @@ object AD {
         while (j < y.cols) { g(i, j) = (out.grad(i, j) - dotted(i, 0)) * y(i, j); j += 1 }
         i += 1
       }
-      a.grad.addInPlace(g)
-    })
+      acc(a, g)
+    }
   }
 
-  def sumAll(a: V): V = new V(new Mat(1, 1, Array(a.v.sum)), Seq(a), { out =>
-    a.grad.addInPlace(Mat.fill(a.v.rows, a.v.cols, out.grad.data(0)))
-  })
+  def sumAll(a: V): V = node(new Mat(1, 1, Array(a.v.sum)), a) { out =>
+    acc(a, Mat.fill(a.v.rows, a.v.cols, out.grad.data(0)))
+  }
 
   /** Column j of an N x C matrix as an N x 1 node. */
   def colSlice(a: V, j: Int): V = {
@@ -113,32 +125,34 @@ object AD {
     val y = Mat.zeros(a.v.rows, 1)
     var r = 0
     while (r < a.v.rows) { y(r, 0) = a.v(r, j); r += 1 }
-    new V(y, Seq(a), { out =>
+    node(y, a) { out =>
       val g = Mat.zeros(a.v.rows, a.v.cols)
       var i = 0
       while (i < a.v.rows) { g(i, j) = out.grad(i, 0); i += 1 }
-      a.grad.addInPlace(g)
-    })
+      acc(a, g)
+    }
   }
 
   def mean(a: V): V = scale(sumAll(a), 1.0 / a.v.size)
 
   def hcat(parts: Seq[V]): V = {
     val value = parts.map(_.v).reduce(_ hcat _)
-    new V(value, parts, { out =>
+    node(value, parts: _*) { out =>
       var off = 0
       parts.foreach { p =>
-        val g = Mat.zeros(p.v.rows, p.v.cols)
-        var r = 0
-        while (r < p.v.rows) {
-          var c = 0
-          while (c < p.v.cols) { g(r, c) = out.grad(r, off + c); c += 1 }
-          r += 1
-        }
-        p.grad.addInPlace(g)
+        acc(p, {
+          val g = Mat.zeros(p.v.rows, p.v.cols)
+          var r = 0
+          while (r < p.v.rows) {
+            var c = 0
+            while (c < p.v.cols) { g(r, c) = out.grad(r, off + c); c += 1 }
+            r += 1
+          }
+          g
+        })
         off += p.v.cols
       }
-    })
+    }
   }
 
   /** Numerically stable binary cross-entropy with logits.
@@ -162,7 +176,7 @@ object AD {
       loss += w(i, 0) * (sp - y(i, 0) * s)
       i += 1
     }
-    new V(new Mat(1, 1, Array(loss / wSum)), Seq(scores), { out =>
+    node(new Mat(1, 1, Array(loss / wSum)), scores) { out =>
       val g = out.grad.data(0)
       val gs = Mat.zeros(n, 1)
       var j = 0
@@ -172,8 +186,8 @@ object AD {
         gs(j, 0) = g * w(j, 0) * (sig - y(j, 0)) / wSum
         j += 1
       }
-      scores.grad.addInPlace(gs)
-    })
+      acc(scores, gs)
+    }
   }
 
   /** KL(target || rows of g): `sum_i sum_j t_j * log(t_j / g_ij) / N`.
@@ -198,7 +212,7 @@ object AD {
       }
       i += 1
     }
-    new V(new Mat(1, 1, Array(loss / n)), Seq(g), { out =>
+    node(new Mat(1, 1, Array(loss / n)), g) { out =>
       val go = out.grad.data(0)
       val gg = Mat.zeros(n, g.v.cols)
       var r = 0
@@ -211,19 +225,20 @@ object AD {
         }
         r += 1
       }
-      g.grad.addInPlace(gg)
-    })
+      acc(g, gg)
+    }
   }
 
-  /** Topologically-ordered reverse sweep from scalar `root`. */
+  /** Topologically-ordered reverse sweep from scalar `root` over the nodes
+    * that require a gradient; each gets a fresh zeroed `grad` first. */
   def backward(root: V): Unit = {
     require(root.v.rows == 1 && root.v.cols == 1, "backward root must be scalar")
     val order = ArrayBuffer.empty[V]
     val seen = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[V, java.lang.Boolean]())
-    def visit(n: V): Unit = if (seen.add(n)) { n.parents.foreach(visit); order += n }
+    def visit(n: V): Unit = if (n.requiresGrad && seen.add(n)) { n.parents.foreach(visit); order += n }
     visit(root)
     order.foreach(n => n.grad = Mat.zeros(n.v.rows, n.v.cols))
-    root.grad = new Mat(1, 1, Array(1.0))
+    if (root.requiresGrad) root.grad.data(0) = 1.0
     order.reverseIterator.foreach(n => n.bw(n))
   }
 }

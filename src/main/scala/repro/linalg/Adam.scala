@@ -4,7 +4,8 @@ package repro.linalg
   *
   * Holds first/second moment buffers per parameter. Parameters are the
   * [[AD.V]] leaves whose `grad` is populated by [[AD.backward]]; `step`
-  * applies the update in place on their value matrices.
+  * applies the update in place on their value matrices, reading a `grad`
+  * that backward did not reach (null) as zero.
   */
 /** @param weightDecay decoupled (AdamW-style) L2 shrinkage applied at each
   *                     step — the substrate-scale regularizer that stands in
@@ -27,7 +28,7 @@ final class Adam(params: Seq[AD.V], lr: Double = 1e-2,
       val mk = m(k); val vk = v(k)
       var i = 0
       while (i < p.v.size) {
-        val gi = g.data(i)
+        val gi = if (g == null) 0.0 else g.data(i)
         mk.data(i) = beta1 * mk.data(i) + (1 - beta1) * gi
         vk.data(i) = beta2 * vk.data(i) + (1 - beta2) * gi * gi
         val mHat = mk.data(i) / bc1
@@ -39,5 +40,5 @@ final class Adam(params: Seq[AD.V], lr: Double = 1e-2,
     }
   }
 
-  def zeroGrad(): Unit = params.foreach(p => p.grad = Mat.zeros(p.v.rows, p.v.cols))
+  def zeroGrad(): Unit = params.foreach(_.grad = null)
 }

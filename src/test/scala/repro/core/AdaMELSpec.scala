@@ -44,9 +44,13 @@ class AdaMELSpec extends AnyFunSuite {
   }
 
   test("training is deterministic given the seed") {
-    val m1 = AdaMEL.fitted(cfg(Variant.Base, 20), train)
-    val m2 = AdaMEL.fitted(cfg(Variant.Base, 20), train)
-    assert(m1.scores(test).toSeq == m2.scores(test).toSeq)
+    val support = TestPairs.separable(30, dim, seed = 9)
+    def bits(v: Variant): Seq[Long] = {
+      val target = if (v == Variant.Zero || v == Variant.Hyb) Some(test) else None
+      val sup = if (v == Variant.Few || v == Variant.Hyb) Some(support) else None
+      AdaMEL.fitted(cfg(v, 20), train, target, sup).scores(test).toSeq.map(java.lang.Double.doubleToRawLongBits)
+    }
+    Variant.all.foreach(v => assert(bits(v) == bits(v), s"${v.name} scores differ between runs"))
   }
 
   test("different seeds give different parameters") {

@@ -46,6 +46,32 @@ class HarnessSpec extends SparkSpec {
     assert(res.runs.head > posRate, s"PRAUC ${res.runs.head} vs positive rate $posRate")
   }
 
+  test("a 3-seed evalPRAUC returns the runs of three 1-seed calls, in seed order") {
+    val runner = (s: Long) => MethodRunner.adamel(fastCfg.copy(epochs = 5, seed = s))
+    val together = Harness.evalPRAUC(data, runner, seeds = Seq(1L, 2L, 3L))
+    val apart = Seq(1L, 2L, 3L).map(s => Harness.evalPRAUC(data, runner, seeds = Seq(s)).runs.head)
+    assert(together.method == "AdaMEL-hyb")
+    assert(together.runs == apart)
+    assert(apart.distinct.size == 3, s"seeds should differ: $apart") // else order is untested
+  }
+
+  test("a runner that throws on one seed: the caller gets that exception and no thread is left") {
+    val thrown = new IllegalStateException("seed 2 failed")
+    val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    val failing = (s: Long) => new MethodRunner {
+      val name = "failing"
+      def run(d: MELData): Array[Double] = {
+        threads.add(Thread.currentThread())
+        if (s == 2L) throw thrown
+        Thread.sleep(300) // still running when seed 2 fails
+        Array.fill(d.test.n)(0.5)
+      }
+    }
+    val caught = intercept[IllegalStateException](Harness.evalPRAUC(data, failing, seeds = Seq(1L, 2L, 3L)))
+    assert(caught eq thrown)
+    threads.forEach(t => assert(t == Thread.currentThread() || !t.isAlive, s"${t.getName} still running"))
+  }
+
   test("timedRun reports positive duration and same-shape scores") {
     val (scores, secs) = Harness.timedRun(data, MethodRunner.all(dim, 1L, fastCfg).head)
     assert(scores.length == data.test.n && secs > 0)

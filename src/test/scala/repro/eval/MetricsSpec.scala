@@ -1,9 +1,18 @@
 package repro.eval
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.Rng
 
 class MetricsSpec extends AnyFunSuite {
+
+  /** The former bestF1: one full precisionRecallF1 pass per distinct
+    * threshold, O(n * T). Kept as the reference for the sweep. */
+  private def bestF1Reference(scores: Array[Double], labels: Array[Double]): Double = {
+    val thresholds = scores.distinct.sorted
+    if (thresholds.isEmpty) return 0.0
+    thresholds.foldLeft(0.0)((best, t) => math.max(best, Metrics.precisionRecallF1(scores, labels, t)._3))
+  }
 
   test("perfect ranking gives PRAUC 1") {
     val s = Array(0.9, 0.8, 0.2, 0.1)
@@ -95,6 +104,37 @@ class MetricsSpec extends AnyFunSuite {
 
   test("bestF1 on empty scores is 0") {
     assert(Metrics.bestF1(Array.empty, Array.empty) == 0.0)
+  }
+
+  test("bestF1 groups tied scores into one threshold") {
+    // At 0.5 both tied pairs enter together (tp=1, fp=1: F1 = 2/3), whichever
+    // of them holds the positive; letting the positive in first would give 1.
+    val s = Array(0.5, 0.5, 0.2)
+    for (y <- Seq(Array(1.0, 0.0, 0.0), Array(0.0, 1.0, 0.0))) {
+      assert(Metrics.bestF1(s, y) == bestF1Reference(s, y))
+      assert(math.abs(Metrics.bestF1(s, y) - 2.0 / 3.0) < 1e-12)
+    }
+    val allTied = Array(0.7, 0.7, 0.7)
+    val y2 = Array(1.0, 1.0, 0.0)
+    assert(Metrics.bestF1(allTied, y2) == bestF1Reference(allTied, y2))
+  }
+
+  test("bestF1 of all-negative labels is 0") {
+    assert(Metrics.bestF1(Array(0.9, 0.1, 0.5), Array(0.0, 0.0, 0.0)) == 0.0)
+  }
+
+  test("bestF1 sweep equals the per-threshold reference exactly (property)") {
+    // Scores from a four-value grid or uniform draws, so that both heavy
+    // ties and all-distinct inputs occur; labels sometimes all negative.
+    val score = Gen.frequency(3 -> Gen.oneOf(0.0, 0.25, 0.5, 1.0), 2 -> Gen.choose(0.0, 1.0))
+    val input = for {
+      n <- Gen.choose(0, 60)
+      posRate <- Gen.oneOf(0.0, 0.1, 0.5, 0.9)
+      pairs <- Gen.listOfN(n, Gen.zip(score, Gen.choose(0.0, 1.0).map(u => if (u < posRate) 1.0 else 0.0)))
+    } yield (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    val prop = Prop.forAll(input) { case (s, y) => Metrics.bestF1(s, y) == bestF1Reference(s, y) }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("meanStd of constant sequence") {

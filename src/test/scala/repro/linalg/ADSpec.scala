@@ -215,6 +215,65 @@ class ADSpec extends AnyFunSuite {
     gradCheck(leaves(randMat(2, 2)), ls => AD.sumAll(AD.add(ls(0), ls(0))))
   }
 
+  /** The former `%*%`: row axpys in increasing k, zero entries skipped. */
+  private def productReference(a: Mat, b: Mat): Mat = {
+    val out = Mat.zeros(a.rows, b.cols)
+    for (i <- 0 until a.rows; p <- 0 until a.cols if a(i, p) != 0.0; j <- 0 until b.cols)
+      out(i, j) += a(i, p) * b(p, j)
+    out
+  }
+
+  private def bitEqual(x: Mat, y: Mat): Boolean =
+    x.rows == y.rows && x.cols == y.cols && java.util.Arrays.equals(x.data, y.data)
+
+  test("blocked %*%, tTimes and timesT equal the reference product bit for bit") {
+    // row counts around the 4-row tile, odd and even column counts, and
+    // operands with about a third of their entries exactly zero
+    def sparse(r: Int, c: Int): Mat = randMat(r, c, 3.0).map(x => if (math.abs(x) < 1.0) 0.0 else x)
+    for (r <- 1 to 9; k <- 1 to 6; c <- 1 to 5) {
+      val a = sparse(r, k); val b = sparse(k, c)
+      val at = a.t; val bt = b.t // explicit copies: at.t is a, bt.t is b
+      val ref = productReference(a, b)
+      assert(bitEqual(a %*% b, ref), s"%*% $r x $k x $c")
+      assert(bitEqual(at.tTimes(b), ref), s"tTimes $r x $k x $c")
+      assert(bitEqual(a.timesT(bt), ref), s"timesT $r x $k x $c")
+    }
+  }
+
+  test("matmul backward equals the explicit-transpose products bit for bit") {
+    val x = AD.leaf(randMat(7, 5)); val w = AD.leaf(randMat(5, 3))
+    val y = AD.matmul(x, w)
+    val gOut = randMat(7, 3)
+    AD.backward(AD.sumAll(AD.mul(y, AD.const(gOut))))
+    assert(bitEqual(x.grad, productReference(gOut, w.v.t)))
+    assert(bitEqual(w.grad, productReference(x.v.t, gOut)))
+  }
+
+  test("an AD.const operand gets no gradient buffer and leaves parameter gradients unchanged") {
+    val xm = randMat(6, 4); val wm = randMat(4, 3); val bm = randMat(1, 3)
+    val y = Mat.colVec(Array(1.0, 0.0, 1.0, 0.0, 0.0, 1.0))
+    val ones = Mat.fill(6, 1, 1.0)
+    def run(x: AD.V): (AD.V, Seq[AD.V], AD.V) = {
+      val w = AD.leaf(wm.copy()); val b = AD.leaf(bm.copy())
+      val hidden = AD.tanh(x) // computed from the input alone
+      val s = AD.matmul(AD.relu(AD.addRowVec(AD.matmul(hidden, w), b)), AD.const(Mat.fill(3, 1, 1.0)))
+      AD.backward(AD.bceWithLogits(s, y, ones))
+      (hidden, Seq(w, b), x)
+    }
+    val (hConst, paramsConst, xConst) = run(AD.const(xm))
+    val (hLeaf, paramsLeaf, xLeaf) = run(AD.leaf(xm))
+    assert(!xConst.requiresGrad && xConst.grad == null)
+    assert(!hConst.requiresGrad && hConst.grad == null)
+    assert(xLeaf.grad != null && hLeaf.grad != null)
+    paramsConst.zip(paramsLeaf).foreach { case (c, l) => assert(bitEqual(c.grad, l.grad)) }
+  }
+
+  test("a forward pass allocates no gradient buffers") {
+    val w = AD.leaf(randMat(3, 2))
+    val out = AD.sumAll(AD.tanh(AD.matmul(AD.const(randMat(4, 3)), w)))
+    assert(w.grad == null && out.grad == null)
+  }
+
   test("backward zeroes stale gradients between calls") {
     val x = AD.leaf(randMat(2, 2))
     AD.backward(AD.sumAll(x))
