@@ -97,9 +97,11 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("baselines are deterministic in seed") {
-    val a = new DeepMatcherLite(dim, 7); val b = new DeepMatcherLite(dim, 7)
-    a.fit(train); b.fit(train)
-    assert(a.scores(test).toSeq == b.scores(test).toSeq)
+    def bits(m: Matcher): Seq[Long] = {
+      m.fit(train)
+      m.scores(test).map(java.lang.Double.doubleToRawLongBits).toSeq
+    }
+    allMatchers.zip(allMatchers).foreach { case (a, b) => assert(bits(a) == bits(b), a.name) }
   }
 
   test("Sim helpers behave on edge cases") {

@@ -16,8 +16,19 @@ class ScenariosSpec extends SparkSpec {
   private lazy val overlapping = Scenarios.build(records, MusicGen.seenSources, cfg)
   private lazy val disjoint = Scenarios.build(records, MusicGen.seenSources, cfg.copy(disjoint = true))
 
+  // Table 7 shape at toy size: two catalogs, every entity in both.
+  private lazy val singleDomain = Scenarios.buildSingleDomain(
+    RecordsDF.toDF(spark, BenchmarkGen.generate(BenchConfig("tiny", "Product", 80, noise = 0.1))),
+    cfg.copy(blockAttr = "title"))
+
   private def srcs(df: DataFrame): Seq[(String, String)] =
     df.select("src1", "src2").collect().map(r => (r.getString(0), r.getString(1))).toSeq
+
+  private def ids(df: DataFrame): Seq[(Long, Long)] =
+    df.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+
+  private def labels(df: DataFrame): Seq[Double] =
+    df.select("label").collect().map(_.getDouble(0)).toSeq
 
   test("all four splits are non-empty") {
     Seq(overlapping.train, overlapping.support, overlapping.target, overlapping.test)
@@ -75,6 +86,27 @@ class ScenariosSpec extends SparkSpec {
     val a = overlapping.test.select("id1", "id2").collect().map(_.toSeq).toSeq
     val b = again.test.select("id1", "id2").collect().map(_.toSeq).toSeq
     assert(a == b)
+  }
+
+  test("single-domain train, support and test are disjoint samples of one pool") {
+    val (train, support, test) =
+      (ids(singleDomain.train).toSet, ids(singleDomain.support).toSet, ids(singleDomain.test).toSet)
+    assert(train.nonEmpty && support.nonEmpty && test.nonEmpty)
+    assert(train.intersect(support).isEmpty)
+    assert(train.intersect(test).isEmpty)
+    assert(support.intersect(test).isEmpty)
+  }
+
+  test("single-domain support has at most nSupport / 2 pairs per class") {
+    val l = labels(singleDomain.support)
+    assert(l.count(_ == 1.0) <= cfg.nSupport / 2 && l.count(_ == 0.0) <= cfg.nSupport / 2)
+    assert(l.count(_ == 1.0) + l.count(_ == 0.0) == l.size)
+  }
+
+  test("single-domain target is exactly the test pairs, unlabeled") {
+    val target = ids(singleDomain.target)
+    assert(target.sorted == ids(singleDomain.test).sorted)
+    assert(labels(singleDomain.target).forall(_ == -1.0))
   }
 
   test("train set has the requested composition") {
