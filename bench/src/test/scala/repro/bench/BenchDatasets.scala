@@ -9,9 +9,9 @@ import repro.eval.MELData
 /** Shared, lazily cached datasets for the table benches.
   *
   * Sizes are the paper's Table 3 shapes scaled to the CPU substrate (see
-  * DESIGN.md §5 and EXPERIMENTS.md): Music-3K is ~1:1, the Music-1M analog
-  * is scaled ~1/150 with generator-level weak-label noise, Monitor keeps the
-  * paper's extreme negative skew. All construction is deterministic; batches
+  * DESIGN.md §5): Music-3K is ~1:1, the Music-1M analog is a larger corpus
+  * (450 vs 260 artists, 2,000 vs 380 training pairs) with generator-level
+  * weak-label noise, Monitor keeps the paper's extreme negative skew. All construction is deterministic; batches
   * are cached per (dataset, scenario) so the 9 methods x 3 seeds reuse one
   * Spark extraction.
   */

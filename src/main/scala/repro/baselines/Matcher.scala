@@ -68,10 +68,8 @@ abstract class MLPMatcher(val name: String, hidden: Int, epochs: Int, lr: Double
       // Stratified mini-batch SGD (paper baselines train with batch 16,
       // §5.1; stratification counters Monitor-style skew — same treatment
       // as the AdaMEL trainer for fairness).
-      repro.er.Batching.balancedBatches(source.labels, batchSize, batchRng).foreach { idx =>
-        val loss = AD.bceWithLogits(forward(x.rowsAt(idx)), y.rowsAt(idx),
-          Mat.fill(idx.length, 1, 1.0))
-        opt.zeroGrad(); AD.backward(loss); opt.step()
+      opt.minimize(repro.er.Batching.balancedBatches(source.labels, batchSize, batchRng)) { idx =>
+        AD.bceWithLogits(forward(x.rowsAt(idx)), y.rowsAt(idx), Mat.fill(idx.length, 1, 1.0))
       }
     }
     trained = true

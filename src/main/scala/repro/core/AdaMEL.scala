@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.er.PairBatch
+import repro.er.{Batching, PairBatch}
 import repro.linalg.{AD, Adam, Mat, Rng}
 
 /** Which loss the model trains with (paper §4.4). */
@@ -39,9 +39,6 @@ final case class AdaMELConfig(
     weightDecay: Double = 1e-2,
     seed: Long = 7L,
     featureIdx: Option[Seq[Int]] = None,
-    /** Ablation knob: when false, the support loss uses uniform weights
-      * instead of the Eq. (12) centroid-distance weights. */
-    eq12Weights: Boolean = true,
 )
 
 /** AdaMEL (paper §4): attribute-level attention over contrastive relational
@@ -151,6 +148,15 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
     // could also come in batches", §4.4.1); a few hundred rows estimate a
     // F-dim mean tightly and cut the per-epoch cost several-fold.
     val EstimateRows = 400
+    // Source rows by class, for the Eq. (11) centroids.
+    val allPos = source.pairs.indices.filter(i => source.labels(i) == 1.0)
+    val allNeg = source.pairs.indices.filter(i => source.labels(i) == 0.0)
+
+    /** (attention, L_base) on the source rows `idx`, uniformly weighted. */
+    def sourceBce(idx: Array[Int]): (AD.V, AD.V) = {
+      val (g, s) = forward(srcFeats.map(_.rowsAt(idx)))
+      (g, AD.bceWithLogits(s, ySrc.rowsAt(idx), Mat.fill(idx.length, 1, 1.0)))
+    }
 
     for (_ <- 0 until epochs) {
       // Eq. (10): attention averaged over (a batch of) D_T with *current*
@@ -165,16 +171,15 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
 
       // Eq. (11)-(12): centroids of source attention, support weights —
       // estimated on a stratified source subsample for the same reason.
-      val supportWeights: Option[(Mat, Mat)] = supFeats.map { sf =>
-        val allPos = source.pairs.indices.filter(i => source.labels(i) == 1.0)
-        val allNeg = source.pairs.indices.filter(i => source.labels(i) == 0.0)
+      val supportWeights: Option[Mat] = supFeats.map { sf =>
         def sub(idx: Seq[Int]): Seq[Int] =
           if (idx.size <= EstimateRows / 2) idx
           else epochRng.shuffle(idx).take(EstimateRows / 2)
-        val srcIdx = (sub(allPos) ++ sub(allNeg)).toArray
-        val gS = forward(srcFeats.map(_.rowsAt(srcIdx)))._1.v
-        val pos = srcIdx.indices.filter(i => source.labels(srcIdx(i)) == 1.0)
-        val neg = srcIdx.indices.filter(i => source.labels(srcIdx(i)) == 0.0)
+        val subPos = sub(allPos)
+        val subNeg = sub(allNeg)
+        val gS = forward(srcFeats.map(_.rowsAt((subPos ++ subNeg).toArray)))._1.v
+        val pos = subPos.indices
+        val neg = subPos.size until subPos.size + subNeg.size
         def centroid(idx: Seq[Int]): Array[Double] = {
           val c = new Array[Double](numFeatures)
           idx.foreach { i => var j = 0; while (j < numFeatures) { c(j) += gS(i, j); j += 1 } }
@@ -191,15 +196,11 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
         // Eq. (12) weights d/d̄, clipped: when the source attention collapses
         // toward a point, d̄ -> 0 and unclipped ratios explode, making the
         // support loss fit a handful of outliers (observed on Monitor).
-        val wts = Mat.colVec(Array.tabulate(sup.n) { i =>
-          if (!eq12Weights) 1.0
-          else {
-            val fi = Array.tabulate(numFeatures)(gSup(i, _))
-            val r = if (sup.labels(i) == 1.0) euclid(fi, cPos) / dPos else euclid(fi, cNeg) / dNeg
-            math.min(math.max(r, 0.1), 10.0)
-          }
+        Mat.colVec(Array.tabulate(sup.n) { i =>
+          val fi = Array.tabulate(numFeatures)(gSup(i, _))
+          val r = if (sup.labels(i) == 1.0) euclid(fi, cPos) / dPos else euclid(fi, cNeg) / dNeg
+          math.min(math.max(r, 0.1), 10.0)
         })
-        (wts, sup.labelCol)
       }
 
       // Mini-batch steps over D_S (paper batch learning, §4.4.1 / line 7 of
@@ -207,21 +208,13 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
       // (Zero/Hyb) with the epoch-frozen target average driving the KL.
       // Batches are class-stratified (see Batching) against Monitor-style
       // skew; weights inside a batch are therefore uniform.
-      var epochLoss = 0.0
-      var steps = 0
-      repro.er.Batching.balancedBatches(source.labels, batchSize, epochRng).foreach { idx =>
-        val feats = srcFeats.map(_.rowsAt(idx))
-        val (gSrc, sSrc) = forward(feats)
-        val lBase = AD.bceWithLogits(sSrc, ySrc.rowsAt(idx), Mat.fill(idx.length, 1, 1.0))
-        val loss = variant match {
+      val batchLosses = opt.minimize(Batching.balancedBatches(source.labels, batchSize, epochRng)) { idx =>
+        val (gSrc, lBase) = sourceBce(idx)
+        variant match {
           case Variant.Base | Variant.Few => lBase
           case Variant.Zero | Variant.Hyb =>
             AD.add(AD.scale(lBase, 1.0 - lambda), AD.scale(AD.klToConst(gSrc, targetAvg.get), lambda))
         }
-        opt.zeroGrad()
-        AD.backward(loss)
-        opt.step()
-        epochLoss += loss.scalar; steps += 1
       }
 
       // Support step ONCE per epoch, after the batch loop — exactly where
@@ -230,22 +223,17 @@ final class AdaMEL(val config: AdaMELConfig, val dim: Int, allFeatureNames: Vect
       // cannot undo source learning. (Folding φ·L_support into every
       // mini-batch instead trains the 100 support pairs two orders of
       // magnitude harder than any source pair and anti-generalizes.)
-      supportWeights.foreach { case (wts, ySup) =>
+      val supportLosses = supportWeights.toSeq.flatMap { wts =>
         // Anchor batch sized to the support set, so the two CE terms in
         // L_ssl carry comparable evidence (a 16-row anchor against 100
         // support rows lets the support gradient dominate the step).
         val anchorSize = math.max(batchSize, support.get.n)
-        val idx = repro.er.Batching.balancedBatches(source.labels, anchorSize, epochRng).head
-        val (_, sB) = forward(srcFeats.map(_.rowsAt(idx)))
-        val lB = AD.bceWithLogits(sB, ySrc.rowsAt(idx), Mat.fill(idx.length, 1, 1.0))
-        val (_, sSup) = forward(supFeats.get)
-        val lSsl = AD.add(lB, AD.scale(AD.bceWithLogits(sSup, ySup, wts), phi))
-        opt.zeroGrad()
-        AD.backward(lSsl)
-        opt.step()
-        epochLoss += lSsl.scalar
+        opt.minimize(Batching.balancedBatches(source.labels, anchorSize, epochRng).take(1)) { idx =>
+          val (_, sSup) = forward(supFeats.get)
+          AD.add(sourceBce(idx)._2, AD.scale(AD.bceWithLogits(sSup, support.get.labelCol, wts), phi))
+        }
       }
-      losses += epochLoss / math.max(steps, 1)
+      losses += (batchLosses ++ supportLosses).sum / math.max(batchLosses.size, 1)
     }
     losses.result()
   }

@@ -11,10 +11,10 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   * attrs: map<string,string>` (`entity_id` is generator ground truth, used
   * only for labeling).
   *
-  * Blocking key = first token of a chosen attribute. Oversized blocks
-  * (frequent head tokens) are dropped, the usual guard against quadratic
+  * Blocking keys = every distinct token of a chosen attribute. Oversized
+  * blocks (frequent tokens) are dropped, the usual guard against quadratic
   * blow-up. Candidate generation is a distributed self-join on the key and
-  * is Oracle-checked against DuckDB in `BlockingSpec`.
+  * is Oracle-checked against DuckDB in `BlockingPairingSpec`.
   */
 object Blocking {
 

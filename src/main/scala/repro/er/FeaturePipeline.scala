@@ -25,8 +25,6 @@ import repro.text.{HashEmbed, Tokenizer}
   */
 object FeaturePipeline {
 
-  val PairColumns = Seq("pair_id", "label", "src1", "src2", "a1", "a2")
-
   private def tokenizeUdf: UserDefinedFunction =
     F.udf((s: String) => Tokenizer.tokenSet(Option(s).getOrElse("")))
 

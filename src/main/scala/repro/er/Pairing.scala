@@ -7,7 +7,7 @@ import org.apache.spark.sql.expressions.Window
   *
   * Produces the pair schema expected by [[FeaturePipeline]]:
   * `pair_id, label, src1, src2, a1, a2` (+ `e1`, `e2` ground-truth entity
-  * ids retained until [[finalize]] for split bookkeeping).
+  * ids retained until [[finalizePairs]] for split bookkeeping).
   *
   * All sampling is deterministic: candidate sets are ordered by
   * `xxhash64(id1, id2, seed)` before `limit`, so a (data, seed) pair always

@@ -85,17 +85,9 @@ object Harness {
   }
 
   def evalPRAUC(data: MELData, makeRunner: Long => MethodRunner,
-                seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result =
-    eval(data, makeRunner, seeds, Metrics.prauc)
-
-  def evalF1(data: MELData, makeRunner: Long => MethodRunner,
-             seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result =
-    eval(data, makeRunner, seeds, Metrics.bestF1)
-
-  private def eval(data: MELData, makeRunner: Long => MethodRunner, seeds: Seq[Long],
-                   metric: (Array[Double], Array[Double]) => Double): Result = {
+                seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
     val runners = seeds.map(makeRunner).toIndexedSeq
-    val runs = inParallel(runners.size)(i => metric(runners(i).run(data), data.test.labels))
+    val runs = inParallel(runners.size)(i => Metrics.prauc(runners(i).run(data), data.test.labels))
     Result(runners.head.name, runs)
   }
 
@@ -124,12 +116,5 @@ object Harness {
     helpers.foreach(_.join())
     if (!failures.isEmpty) throw failures.firstEntry.getValue
     out.toSeq
-  }
-
-  /** Wall-clock of a single fit+score run, in seconds (Fig. 9 table). */
-  def timedRun(data: MELData, runner: MethodRunner): (Array[Double], Double) = {
-    val t0 = System.nanoTime()
-    val s = runner.run(data)
-    (s, (System.nanoTime() - t0) / 1e9)
   }
 }

@@ -9,8 +9,9 @@ import scala.collection.mutable.ArrayBuffer
   * parents' gradient buffers. Call [[AD.backward]] on a scalar (1x1) node to
   * populate `grad` on every upstream node that requires a gradient.
   *
-  * The op set is exactly what the AdaMEL losses and the baseline MLPs need;
-  * each op's gradient is finite-difference-checked in `ADSpec`.
+  * The op set is what the AdaMEL losses and the baseline MLPs need, plus
+  * `mul` and `sumAll`, with which the gradient checks weight and reduce their
+  * outputs; each op's gradient is finite-difference-checked in `ADSpec`.
   */
 object AD {
 
@@ -47,10 +48,6 @@ object AD {
     acc(a, out.grad); acc(b, out.grad)
   }
 
-  def sub(a: V, b: V): V = node(a.v - b.v, a, b) { out =>
-    acc(a, out.grad); acc(b, out.grad * -1.0)
-  }
-
   def mul(a: V, b: V): V = node(a.v * b.v, a, b) { out =>
     acc(a, out.grad * b.v); acc(b, out.grad * a.v)
   }
@@ -77,14 +74,6 @@ object AD {
     val y = a.v.map(math.tanh)
     node(y, a)(out => acc(a, out.grad.zip(y)((g, t) => g * (1.0 - t * t))))
   }
-
-  def sigmoid(a: V): V = {
-    val y = a.v.map(x => 1.0 / (1.0 + math.exp(-x)))
-    node(y, a)(out => acc(a, out.grad.zip(y)((g, s) => g * s * (1.0 - s))))
-  }
-
-  def log(a: V, eps: Double = 1e-12): V =
-    node(a.v.map(x => math.log(x + eps)), a)(out => acc(a, out.grad.zip(a.v)((g, x) => g / (x + eps))))
 
   /** Row-wise softmax of an N x F matrix. */
   def softmaxRows(a: V): V = {
@@ -132,8 +121,6 @@ object AD {
       acc(a, g)
     }
   }
-
-  def mean(a: V): V = scale(sumAll(a), 1.0 / a.v.size)
 
   def hcat(parts: Seq[V]): V = {
     val value = parts.map(_.v).reduce(_ hcat _)

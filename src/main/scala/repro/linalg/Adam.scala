@@ -41,4 +41,14 @@ final class Adam(params: Seq[AD.V], lr: Double = 1e-2,
   }
 
   def zeroGrad(): Unit = params.foreach(_.grad = null)
+
+  /** One update per batch, in order: clears the gradients, backpropagates
+    * `loss(batch)` and steps. Returns each batch's loss value. Runs eagerly,
+    * also when `batches` is lazy. */
+  def minimize[B](batches: Seq[B])(loss: B => AD.V): Seq[Double] =
+    batches.toVector.map { b =>
+      val l = loss(b)
+      zeroGrad(); AD.backward(l); step()
+      l.scalar
+    }
 }

@@ -28,13 +28,6 @@ final class Rng(seed: Long) extends Serializable {
     (nextDouble() * n).toInt.min(n - 1)
   }
 
-  def nextGaussian(): Double = {
-    // Box-Muller; one draw per call keeps the stream simple to reason about.
-    val u1 = math.max(nextDouble(), 1e-300)
-    val u2 = nextDouble()
-    math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
-  }
-
   def nextBoolean(p: Double): Boolean = nextDouble() < p
 
   def shuffle[T](xs: Seq[T]): Seq[T] = {
